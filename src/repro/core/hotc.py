@@ -1347,10 +1347,9 @@ class HotC(RuntimeProvider):
             self._peak[key] = self._busy.get(key, 0)
             prev_forecast = None
             if obs is not None:
-                forecasts = self.controller.forecast_history(key)
                 # The forecast made on the previous tick predicted *this*
                 # interval's demand: the pair is the realized accuracy.
-                prev_forecast = forecasts[-1] if forecasts else None
+                prev_forecast = self.controller.last_forecast(key)
             forecast = self.controller.observe(key, demand)
             target = None
             if self.config.prewarm:

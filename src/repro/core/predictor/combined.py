@@ -121,7 +121,8 @@ class CombinedPredictor:
         each step ``h`` the k-step transition matrix of Eq. 2 gives the
         distribution of the residual state ``h`` intervals ahead; the
         ``quantile``-level midpoint correction is added to the trend and
-        the maximum over horizons is returned.  This is what lets the
+        the maximum over horizons is returned (reading only the current
+        state's row: O(horizon × n_states)).  This is what lets the
         pool stay provisioned across *recurring* bursts (Fig 14b): a
         burst every k intervals shows up as mass in the k-step matrix.
 
@@ -132,44 +133,32 @@ class CombinedPredictor:
             raise ValueError(f"quantile must be in (0, 1], got {quantile}")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
+        chain = self.residual_chain
+        # A residual implies a trend forecast and a point forecast.
         if (
-            self._forecast_next is None
-            or self._last_forecast is None
-            or self._last_residual is None
-            or not self.residual_chain.ready
+            self._last_residual is None
+            or not chain.ready
             or self.smoother.n_observations < self.min_history
         ):
             return self._forecast_next
-        chain = self.residual_chain
         trend = self._last_forecast
         current_state = chain.state_of(self._last_residual)
-        midpoints = np.array(
-            [chain.state_midpoint(i) for i in range(chain.n_states)]
-        )
-        order = np.argsort(midpoints)
+        ladder = chain.midpoint_ladder()
+        threshold = quantile - 1e-12
         best = self._forecast_next
         for step in range(1, horizon + 1):
-            row = chain.transition_matrix(step, empty_rows="marginal")[current_state]
+            row = chain.transition_row(step, current_state, empty_rows="marginal")
             cumulative = 0.0
-            correction = midpoints[order[-1]]
-            for state in order:
+            correction = ladder[-1][1]
+            for state, midpoint in ladder:
                 cumulative += row[state]
-                if cumulative >= quantile - 1e-12:
-                    correction = midpoints[state]
+                if cumulative >= threshold:
+                    correction = midpoint
                     break
-            candidate = trend + float(correction)
+            candidate = trend + correction
             if self.clamp_min is not None:
                 candidate = max(self.clamp_min, candidate)
             best = max(best, candidate)
-        # Invariant: never below the point forecast.  ``best`` starts at
-        # ``_forecast_next`` and only grows, but the donor-selection
-        # path (inter-key repurposing) leans on the guarantee, so clamp
-        # explicitly rather than structurally.
+        # Invariant: never below the point forecast.  ``best`` already
+        # starts there, but repurposing's donor policy leans on it.
         return max(best, self._forecast_next)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CombinedPredictor(alpha={self.smoother.alpha}, "
-            f"n_states={self.residual_chain.n_states}, "
-            f"n={self.n_observations})"
-        )

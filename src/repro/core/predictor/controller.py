@@ -53,8 +53,7 @@ class AdaptivePoolController:
             raise ValueError(f"demand must be >= 0, got {demand}")
         predictor = self._predictors.get(key)
         if predictor is None:
-            predictor = self._factory()
-            self._predictors[key] = predictor
+            predictor = self._predictors[key] = self._factory()
             self._history[key] = []
             self._forecasts[key] = []
         self._history[key].append(float(demand))
@@ -118,6 +117,11 @@ class AdaptivePoolController:
     def forecast_history(self, key) -> Tuple[float, ...]:
         """Forecast made after each observation (for Fig 10)."""
         return tuple(self._forecasts.get(key, ()))
+
+    def last_forecast(self, key) -> Optional[float]:
+        """``forecast_history(key)[-1]`` (None if unseen), without a copy."""
+        forecasts = self._forecasts.get(key)
+        return forecasts[-1] if forecasts else None
 
     def relative_errors(self, key) -> Tuple[float, ...]:
         """|forecast_{t-1} - actual_t| / max(actual_t, 1) per step.

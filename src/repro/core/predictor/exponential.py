@@ -20,6 +20,7 @@ deliberately does not do that.)
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -71,7 +72,7 @@ class ExponentialSmoothing:
         recursion takes over from the sixth point on.  State is O(1):
         only the level and a count are kept.
         """
-        if not np.isfinite(observation):
+        if not math.isfinite(observation):
             raise ValueError(f"observation must be finite, got {observation}")
         observation = float(observation)
         self._count += 1
@@ -94,9 +95,3 @@ class ExponentialSmoothing:
         ``[0..i]`` — the series the Fig 10 experiment plots.
         """
         return np.array([self.update(v) for v in np.asarray(values, dtype=float)])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ExponentialSmoothing(alpha={self.alpha}, init={self.init!r}, "
-            f"n={self.n_observations})"
-        )

@@ -276,6 +276,7 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
         )
         admission.bind(sim)
 
+    plan = None
     if spec.faults is not None:
         plan = FaultPlan.random(
             seed=derive_seed(spec.seed, "faults"),
@@ -296,7 +297,6 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
             crash_loop_rate=spec.faults.crash_loop_rate,
             crash_loop_after=spec.faults.crash_loop_after,
         )
-        plan.install(sim, engines)
 
     function_specs = _trace_function_specs(spec)
     configs = [fn.container_config() for fn in function_specs]
@@ -324,6 +324,11 @@ def _run_trace_arm_report(spec: ScenarioSpec, arm: ArmSpec) -> ArmReport:
         for engine in engines:
             sim.process(engine.ensure_image(image))
     sim.run()
+    if plan is not None:
+        # Armed after the unbounded image-pull run, which would otherwise
+        # fire every scheduled fault before the first arrival.  Fault
+        # times, like arrival times, are absolute sim times.
+        plan.install(sim, engines)
 
     def request(key: int):
         tenant = tenant_by_key[key]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.cluster import ClusterHotC
 from repro.experiments._pattern_harness import run_pattern_arm
+from repro.faults.plan import FaultKind, FaultPlan
 from repro.scenarios import (
     AdmissionSpec,
     ArmSpec,
@@ -216,6 +218,47 @@ class TestTraceArms:
         )
         arm = run_scenario(spec).arm("hotc")
         assert arm.requests + arm.failed + arm.shed > 0
+
+    def test_scheduled_outage_fires_inside_the_trace(self, monkeypatch):
+        """A scheduled outage starts at its own time, after the first
+        arrival: the plan is armed after the image-pull run, which would
+        otherwise drain every scheduled fault before traffic began and
+        release the whole backlog at once into the admission deadlines."""
+        seen = {"acquires": []}
+        install, begin = FaultPlan.install, FaultPlan._begin_outage
+        acquire = ClusterHotC.acquire
+
+        def spy_install(plan, sim, engines, recovery=None):
+            seen.update(sim=sim, plan=plan)
+            return install(plan, sim, engines, recovery)
+
+        def spy_begin(plan, engine, injector):
+            seen.setdefault("outage_at", seen["sim"].now)
+            return begin(plan, engine, injector)
+
+        def spy_acquire(cluster, *args, **kwargs):
+            seen["acquires"].append(cluster.sim.now)
+            return acquire(cluster, *args, **kwargs)
+
+        monkeypatch.setattr(FaultPlan, "install", spy_install)
+        monkeypatch.setattr(FaultPlan, "_begin_outage", spy_begin)
+        monkeypatch.setattr(ClusterHotC, "acquire", spy_acquire)
+        spec = small_trace_spec(
+            faults=FaultsSpec(outages=1, outage_ms=30_000.0),
+            admission=AdmissionSpec(max_queue_depth=4, default_deadline_ms=10_000.0),
+            arms=(ArmSpec(name="hotc", use_hotc=True),),
+        )
+        arm = run_scenario(spec).arm("hotc")
+
+        (outage,) = [
+            fault for fault in seen["plan"].scheduled
+            if fault.kind is FaultKind.HOST_OUTAGE
+        ]
+        assert seen["outage_at"] == pytest.approx(outage.at_ms)
+        assert min(seen["acquires"]) < seen["outage_at"]
+        assert seen["outage_at"] < spec.traffic.trace.duration_ms
+        arrivals = arm.requests + arm.failed + arm.shed
+        assert arm.shed / arrivals < 0.05
 
 
 class TestGuards:
