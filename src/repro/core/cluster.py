@@ -15,18 +15,21 @@ per host and routes each request with a two-level policy:
    overall (by in-flight requests, with committed memory as the
    tie-breaker) and cold-boot there.
 
-The scheduler also exposes per-host statistics so the load-balancing
-ablation can quantify skew.
+Tier 1 reads a cluster-wide index of which hosts hold each key (kept
+by the host pools as keys appear and empty), so a warm request costs
+O(holding hosts) rather than O(hosts).  The scheduler also exposes
+per-host statistics so the load-balancing ablation can quantify skew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from repro.containers.container import Container, ContainerConfig, ContainerError
 from repro.containers.engine import ContainerEngine
 from repro.core.hotc import HotC, HotCConfig
+from repro.core.keys import RuntimeKey
 from repro.faas.platform import RuntimeProvider
 from repro.faults.errors import HostDownError, RuntimeUnavailableError
 from repro.obs.events import EventKind
@@ -86,6 +89,13 @@ class ClusterHotC(RuntimeProvider):
             raise ValueError(f"unknown placement policy {placement!r}")
         self.placement = placement
         self.hosts: List[HotC] = [HotC(engine, config) for engine in engines]
+        #: Holder index: runtime key -> indexes of the hosts whose pool
+        #: holds at least one container of it (busy or available).  The
+        #: pools maintain it as keys appear and empty (see
+        #: ``ContainerRuntimePool.share_holder_index``).
+        self._holders: Dict[RuntimeKey, Set[int]] = {}
+        for index, host in enumerate(self.hosts):
+            host.pool.share_holder_index(self._holders, index)
         self.sim = self.hosts[0].sim
         self.stats = ClusterStats()
         self._inflight: Dict[int, int] = {index: 0 for index in range(len(engines))}
@@ -265,52 +275,78 @@ class ClusterHotC(RuntimeProvider):
         )
 
     def _pick_host(
-        self, config: ContainerConfig, excluded: frozenset = frozenset()
+        self, config: ContainerConfig, excluded: Collection[int] = ()
     ) -> Tuple[int, bool]:
         """Returns ``(host index, found_warm)`` among routable hosts.
 
         Hosts in ``excluded`` (already failed for this request) or in
         the down-set are skipped; with every host ruled out the request
         cannot be served and :class:`RuntimeUnavailableError` is raised.
+
+        Reuse-aware routing looks only at the hosts the holder index
+        lists for the request's key; only the cold fallback ranks every
+        candidate.  Both take the minimum of a total order, so the pick
+        does not depend on the order holders are visited in.
         """
-        if not excluded and not self._down and self.health is None:
-            # Healthy-cluster fast path: every host is a candidate, and
-            # rebuilding that list per request is measurable at trace
-            # scale.
-            candidates = range(len(self.hosts))
+        hosts = self.hosts
+        health = self.health
+        filtered = bool(excluded or self._down or health is not None)
+        if self.placement == "round-robin":
+            candidates = self._candidates(excluded, filtered)
+            # Advance past unroutable hosts; with all hosts healthy this
+            # is the plain one-step advance.
+            while True:
+                index = self._rr_next % len(hosts)
+                self._rr_next += 1
+                if index in candidates:
+                    break
+            key = hosts[index].key_of(config)
+            return index, hosts[index].pool.num_available(key) > 0
+
+        if health is None:
+            inflight = self._inflight
+
+            def load_key(index: int) -> Tuple[float, float, int]:
+                return (
+                    inflight[index],
+                    hosts[index].engine.resources.mem_fraction,
+                    index,
+                )
+
         else:
-            candidates = [
-                index
-                for index in range(len(self.hosts))
-                if index not in excluded
-                and index not in self._down
-                and self._routable(index)
+            load_key = self._load_key
+        # Every host shares one HotCConfig, so every host derives this key.
+        key = hosts[0].key_of(config)
+        holders = self._holders.get(key)
+        if holders:
+            warm_hosts = [
+                index for index in holders if hosts[index].pool.num_available(key) > 0
             ]
+            if filtered:
+                warm_hosts = [
+                    index for index in warm_hosts if self._eligible(index, excluded)
+                ]
+            if warm_hosts:
+                return min(warm_hosts, key=load_key), True
+        return min(self._candidates(excluded, filtered), key=load_key), False
+
+    def _eligible(self, index: int, excluded: Collection[int]) -> bool:
+        return index not in excluded and index not in self._down and self._routable(index)
+
+    def _candidates(self, excluded: Collection[int], filtered: bool) -> Sequence[int]:
+        """Eligible hosts in index order; raises when none is left."""
+        if not filtered:
+            # Healthy cluster: every host is a candidate.
+            return range(len(self.hosts))
+        candidates = [
+            index for index in range(len(self.hosts)) if self._eligible(index, excluded)
+        ]
         if not candidates:
             raise RuntimeUnavailableError(
                 f"no routable host left ({len(self.hosts)} total, "
                 f"{len(self._down)} down, {len(excluded)} failed)"
             )
-        if self.placement == "round-robin":
-            # Advance past unroutable hosts; with all hosts healthy this
-            # is the plain one-step advance.
-            while True:
-                index = self._rr_next % len(self.hosts)
-                self._rr_next += 1
-                if index in candidates:
-                    break
-            key = self.hosts[index].key_of(config)
-            return index, self.hosts[index].pool.num_available(key) > 0
-
-        warm_hosts = []
-        for index in candidates:
-            host = self.hosts[index]
-            key = host.key_of(config)
-            if host.pool.num_available(key) > 0:
-                warm_hosts.append(index)
-        if warm_hosts:
-            return min(warm_hosts, key=self._load_key), True
-        return min(candidates, key=self._load_key), False
+        return candidates
 
     # -- provider protocol --------------------------------------------------
     def acquire(self, config: ContainerConfig) -> Generator:
@@ -324,10 +360,11 @@ class ClusterHotC(RuntimeProvider):
         if self._crashed:
             # Control-plane crash window: fail fast, data plane lives.
             raise RuntimeUnavailableError("cluster control plane is down")
-        self._refresh_health()
-        excluded: set = set()
+        if self._down:
+            self._refresh_health()
+        excluded: Set[int] = set()
         while True:
-            index, warm = self._pick_host(config, frozenset(excluded))
+            index, warm = self._pick_host(config, excluded)
             if warm:
                 self.stats.reuse_routed += 1
             else:
@@ -492,6 +529,13 @@ class ClusterHotC(RuntimeProvider):
             assert 0 <= index < len(self.hosts), (
                 f"down-set contains invalid host index {index}"
             )
+        holders: Dict[RuntimeKey, Set[int]] = {}
+        for index, host in enumerate(self.hosts):
+            for key in host.pool.keys():
+                holders.setdefault(key, set()).add(index)
+        assert holders == self._holders, (
+            f"holder index drifted: indexed={self._holders} actual={holders}"
+        )
 
     def scan_divergences(self):
         """Report-only ground-truth sweep across hosts and routing."""
@@ -519,6 +563,32 @@ class ClusterHotC(RuntimeProvider):
             yield from host.shutdown()
 
 
+def _host_engines(
+    sim, registry, indexes, seed: int, profile, jitter_sigma: float
+) -> List[ContainerEngine]:
+    """Engines ``host-{i}`` for ``i`` in ``indexes`` on one simulator.
+
+    Host ``i`` draws jitter from stream ``engine-jitter-{i}`` of the
+    ``cluster-hosts`` fork of ``RngRegistry(seed)``; streams are derived
+    from their names, so adding hosts never perturbs existing ones.
+    """
+    from repro.hardware.profiles import T430_SERVER
+    from repro.sim.rng import RngRegistry
+
+    rngs = RngRegistry(seed).fork("cluster-hosts")
+    return [
+        ContainerEngine(
+            sim,
+            registry,
+            profile=profile or T430_SERVER,
+            rng=rngs.stream(f"engine-jitter-{index}"),
+            jitter_sigma=jitter_sigma,
+            name=f"host-{index}",
+        )
+        for index in indexes
+    ]
+
+
 def make_cluster_engines(
     sim,
     registry,
@@ -536,24 +606,9 @@ def make_cluster_engines(
     ``host-{n-1}`` and each draws jitter from its own named RNG stream,
     so adding hosts never perturbs existing ones.
     """
-    from repro.hardware.profiles import T430_SERVER
-    from repro.sim.rng import RngRegistry
-
     if n_hosts < 1:
         raise ValueError("n_hosts must be >= 1")
-    profile = profile or T430_SERVER
-    rngs = RngRegistry(seed).fork("cluster-hosts")
-    return [
-        ContainerEngine(
-            sim,
-            registry,
-            profile=profile,
-            rng=rngs.stream(f"engine-jitter-{index}"),
-            jitter_sigma=jitter_sigma,
-            name=f"host-{index}",
-        )
-        for index in range(n_hosts)
-    ]
+    return _host_engines(sim, registry, range(n_hosts), seed, profile, jitter_sigma)
 
 
 def make_cluster_platform(
@@ -570,31 +625,21 @@ def make_cluster_platform(
 
     The first host is the platform's default engine (gateway-side
     latencies come from it); the remaining hosts are created on the same
-    simulator with independent jitter streams.  Returns the platform;
-    its ``provider`` is the :class:`ClusterHotC`.
+    simulator with the jitter streams :func:`make_cluster_engines` gives
+    them.  Returns the platform; its ``provider`` is the
+    :class:`ClusterHotC`.
     """
     from repro.faas.platform import FaasPlatform
     from repro.hardware.profiles import T430_SERVER
-    from repro.sim.rng import RngRegistry
 
     if n_hosts < 1:
         raise ValueError("n_hosts must be >= 1")
     profile = profile or T430_SERVER
-    extra_rngs = RngRegistry(seed).fork("cluster-hosts")
 
     def factory(first_engine: ContainerEngine) -> ClusterHotC:
-        engines = [first_engine]
-        for index in range(1, n_hosts):
-            engines.append(
-                ContainerEngine(
-                    first_engine.sim,
-                    registry,
-                    profile=profile,
-                    rng=extra_rngs.stream(f"engine-jitter-{index}"),
-                    jitter_sigma=jitter_sigma,
-                    name=f"host-{index}",
-                )
-            )
+        engines = [first_engine] + _host_engines(
+            first_engine.sim, registry, range(1, n_hosts), seed, profile, jitter_sigma
+        )
         return ClusterHotC(engines, config=hotc_config, placement=placement)
 
     return FaasPlatform(

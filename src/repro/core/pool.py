@@ -55,7 +55,7 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.containers.container import Container
 from repro.core.keys import RuntimeKey
@@ -233,6 +233,11 @@ class ContainerRuntimePool:
         #: accounting until :meth:`mark_recycled`.
         self._quarantined: Dict[str, PoolEntry] = {}
         self._seq = 0
+        #: Optional shared ``key -> {host index}`` index of the pools
+        #: holding each key (set by a cluster via
+        #: :meth:`share_holder_index`); ``None`` on a standalone host.
+        self._holders: Optional[Dict[RuntimeKey, Set[int]]] = None
+        self._holder_id = 0
         if eviction == "oldest":
             self._evict_primary = lambda e: e.added_at
         elif eviction == "lru":
@@ -249,6 +254,28 @@ class ContainerRuntimePool:
         """
         self.obs = observatory
         self._obs_host = host
+
+    def share_holder_index(
+        self, holders: Dict[RuntimeKey, Set[int]], host_index: int
+    ) -> None:
+        """Keep ``host_index`` in ``holders[key]`` while ``key`` is pooled.
+
+        A cluster hands every host pool the same dict so routing can go
+        straight to the hosts holding a key.  Only a key's first
+        registration and its last removal (or :meth:`reset`) touch it;
+        acquire and release never do.
+        """
+        self._holders = holders
+        self._holder_id = host_index
+        for key in self._counts:
+            holders.setdefault(key, set()).add(host_index)
+
+    def _drop_holder(self, key: RuntimeKey) -> None:
+        holders = self._holders
+        hosts = holders[key]
+        hosts.discard(self._holder_id)
+        if not hosts:
+            del holders[key]
 
     # -- the paper's views --------------------------------------------------
     def state_of(self, key: RuntimeKey) -> int:
@@ -407,7 +434,11 @@ class ContainerRuntimePool:
         self._seq += 1
         self._entries.setdefault(key, {})[container.container_id] = entry
         self._by_container[container.container_id] = entry
-        counts = self._counts.setdefault(key, [0, 0])
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0, 0]
+            if self._holders is not None:
+                self._holders.setdefault(key, set()).add(self._holder_id)
         counts[1] += 1
         entry.counts = counts
         entry.avail_list = self._avail_lists.setdefault(key, [])
@@ -507,6 +538,8 @@ class ContainerRuntimePool:
             del self._entries[entry.key]
             del self._counts[entry.key]
             self._avail_lists.pop(entry.key, None)
+            if self._holders is not None:
+                self._drop_holder(entry.key)
         if not key_emptied:
             self._maybe_compact_avail(entry.key)
         self._maybe_compact_evictions()
@@ -561,6 +594,9 @@ class ContainerRuntimePool:
         for entry in self._by_container.values():
             entry.in_pool = False
             entry.stamp += 1
+        if self._holders is not None:
+            for key in self._counts:
+                self._drop_holder(key)
         self._entries.clear()
         self._by_container.clear()
         self._counts.clear()
