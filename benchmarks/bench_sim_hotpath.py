@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -53,10 +54,11 @@ CHURN_ROUNDS = 1_000
 CHAIN_CALLBACKS = 100
 CHAIN_ROUNDS = 1_000
 
-#: ``--check`` gate: reduced sizes, best-of-N timing, minimum speedup of
-#: the optimized engine over the seed engine on the timeout hot loop.
+#: ``--check`` gate: reduced sizes, N interleaved rounds per workload,
+#: and the minimum median paired speedup of the optimized engine over
+#: the seed engine on the timeout hot loop.
 CHECK_SCALE = 0.25
-CHECK_REPEATS = 3
+CHECK_REPEATS = 7
 MIN_HOTLOOP_SPEEDUP = 3.0
 
 
@@ -70,9 +72,9 @@ def bench_timeout_hotloop(sim_class, procs=HOTLOOP_PROCS, rounds=HOTLOOP_ROUNDS)
 
     for index in range(procs):
         sim.process(worker(sim, 1.0 + (index % 7) * 0.25))
-    start = time.perf_counter()
+    start = time.process_time()
     sim.run()
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     return sim.steps / elapsed
 
 
@@ -88,9 +90,9 @@ def bench_timeout_churn(sim_class, procs=CHURN_PROCS, rounds=CHURN_ROUNDS):
 
     for _ in range(procs):
         sim.process(worker(sim))
-    start = time.perf_counter()
+    start = time.process_time()
     sim.run()
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     return sim.steps / elapsed
 
 
@@ -106,65 +108,88 @@ def bench_callback_chain(sim_class, chains=CHAIN_CALLBACKS, rounds=CHAIN_ROUNDS)
 
     for index in range(chains):
         sim.schedule(1.0, tick, index)
-    start = time.perf_counter()
+    start = time.process_time()
     sim.run()
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     return sim.steps / elapsed
 
 
-def run_suite(sim_class, scale=1.0, repeats=1):
-    """All hot-loop measurements for one engine, in events/sec (best of N).
+_WORKLOADS = (
+    ("timeout_hotloop_events_per_sec", bench_timeout_hotloop, (HOTLOOP_PROCS, HOTLOOP_ROUNDS)),
+    ("timeout_churn_events_per_sec", bench_timeout_churn, (CHURN_PROCS, CHURN_ROUNDS)),
+    ("callback_chain_events_per_sec", bench_callback_chain, (CHAIN_CALLBACKS, CHAIN_ROUNDS)),
+)
 
-    Each workload is warmed until ~0.3s of it has executed before any
-    run is recorded: first-run costs (bytecode specialisation, inline
-    caches, allocator growth) take a few hundred milliseconds of
-    cumulative execution to settle, and measuring before that point
-    under-reports the steady-state engine by ~25%.  The collector is
-    paused while timing so a GC cycle triggered by unrelated garbage
-    can't torpedo a single run.
+
+def run_paired(fn, sized, repeats):
+    """Interleaved rounds of one workload on both engines.
+
+    Each round times the seed engine and the optimized engine back to
+    back (the order alternates between rounds), so a host slowdown hits
+    both sides of a round instead of only one engine's whole suite.
+    Timing is process CPU time: a scheduler that lends the core to
+    another process mid-run does not count against either engine.
+
+    Each engine is first warmed until ~0.3s of it has executed: first-run
+    costs (bytecode specialisation, inline caches, allocator growth) take
+    a few hundred milliseconds of cumulative execution to settle, and
+    measuring before that point under-reports the steady-state engine by
+    ~25%.  The collector is paused while timing so a GC cycle triggered
+    by unrelated garbage can't torpedo a single run.
+
+    Returns ``(naive, fast)`` lists of events/sec, one entry per round.
     """
     import gc
 
     _WARMUP_S = 0.3
 
-    def best(fn, *sizes):
-        sized = tuple(max(1, int(size * scale)) for size in sizes)
+    for sim_class in (NaiveSimulator, Simulator):
         warmup_until = time.perf_counter() + _WARMUP_S
         while time.perf_counter() < warmup_until:
             fn(sim_class, *sized)
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            return max(fn(sim_class, *sized) for _ in range(repeats))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    naive, fast = [], []
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(repeats):
+            if index % 2 == 0:
+                naive.append(fn(NaiveSimulator, *sized))
+                fast.append(fn(Simulator, *sized))
+            else:
+                fast.append(fn(Simulator, *sized))
+                naive.append(fn(NaiveSimulator, *sized))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return naive, fast
 
+
+def run_comparison(scale=1.0, repeats=5):
+    """Before (seed) / after (fast-path) measurements plus speedups.
+
+    ``before``/``after`` hold each engine's best round in events/sec.
+    ``speedup`` is the median of the per-round paired ratios and
+    ``speedup_spread`` their ``[min, max]``.
+    """
+    before = {"implementation": NaiveSimulator.__name__}
+    after = {"implementation": Simulator.__name__}
+    speedup, spread = {}, {}
+    for metric, fn, sizes in _WORKLOADS:
+        sized = tuple(max(1, int(size * scale)) for size in sizes)
+        naive, fast = run_paired(fn, sized, repeats)
+        before[metric] = round(max(naive), 1)
+        after[metric] = round(max(fast), 1)
+        ratios = [f / n for n, f in zip(naive, fast) if n > 0]
+        if ratios:
+            speedup[metric] = round(statistics.median(ratios), 2)
+            spread[metric] = [round(min(ratios), 2), round(max(ratios), 2)]
     return {
-        "implementation": sim_class.__name__,
-        "timeout_hotloop_events_per_sec": round(
-            best(bench_timeout_hotloop, HOTLOOP_PROCS, HOTLOOP_ROUNDS), 1
-        ),
-        "timeout_churn_events_per_sec": round(
-            best(bench_timeout_churn, CHURN_PROCS, CHURN_ROUNDS), 1
-        ),
-        "callback_chain_events_per_sec": round(
-            best(bench_callback_chain, CHAIN_CALLBACKS, CHAIN_ROUNDS), 1
-        ),
+        "before": before,
+        "after": after,
+        "speedup": speedup,
+        "speedup_spread": spread,
     }
-
-
-def run_comparison(scale=1.0, repeats=3):
-    """Before (seed) / after (fast-path) measurements plus speedups."""
-    before = run_suite(NaiveSimulator, scale=scale, repeats=repeats)
-    after = run_suite(Simulator, scale=scale, repeats=repeats)
-    speedup = {
-        metric: round(after[metric] / before[metric], 2)
-        for metric in before
-        if metric != "implementation" and before[metric] > 0
-    }
-    return {"before": before, "after": after, "speedup": speedup}
 
 
 def measure_parallel_runner(jobs=4, seeds=(0, 1, 2)):

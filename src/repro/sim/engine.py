@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import _FREE_MAX, Event, EventQueue, PENDING, ScheduledEvent
 
@@ -65,55 +65,28 @@ class Interrupt(Exception):
 class Timeout(Event):
     """An event that fires ``delay`` milliseconds after creation.
 
-    The constructor is the hottest allocation site in the repo, so it
-    writes the :class:`Event` slots directly (no ``super().__init__``),
-    stores its name lazily as ``("timeout", delay)``, and schedules a
-    recyclable queue entry — with no args tuple at all when ``value`` is
+    Construction is the hottest allocation site in the repo, so it lives
+    inlined in :meth:`Simulator.timeout` (``Timeout(sim, delay)`` goes
+    there too): the :class:`Event` slots are written directly, with no
+    ``__init__`` call, the name is only built when read, and the queue
+    entry is recyclable, with no args tuple at all when ``value`` is
     ``None``, the overwhelmingly common case.
     """
 
     __slots__ = ("delay", "_entry")
 
+    def __new__(cls, sim: "Simulator", delay: float, value: Any = None) -> "Timeout":
+        # Direct construction shares the one inlined body.
+        return sim.timeout(delay, value)
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        # One chained compare rejects negatives, inf, and NaN (every
-        # comparison against NaN is False), so non-finite delays can
-        # never corrupt the heap ordering.
-        if not (0.0 <= delay < _INF):
-            raise ValueError(
-                f"timeout delay must be finite and >= 0, got {delay}"
-            )
-        # Pristine timeouts carry no watcher list; Event.add_callback
-        # promotes () to a real list on first registration.
-        self.callbacks = ()
-        self._value = PENDING
-        self._ok = True
-        self._fired = False
-        self._name = ("timeout", delay)
-        self.delay = delay
-        # Inlined EventQueue.push (the single hottest call site in the
-        # repo): ``time`` is finite by construction, so the NaN guard is
-        # unnecessary, and the entry is recyclable by definition.
-        queue = sim._queue
-        time = sim._now + delay
-        seq = queue._seq
-        queue._seq = seq + 1
-        free = queue._free
-        if free:
-            entry = free.pop()
-            entry.time = time
-            entry.priority = 0
-            entry.seq = seq
-            entry.callback = self
-            entry.args = (value,) if value is not None else ()
-            entry.cancelled = False
-            entry.queue = queue
-        else:
-            entry = ScheduledEvent(
-                time, 0, seq, self,
-                (value,) if value is not None else (), queue, False,
-            )
-        heappush(queue._heap, (time, 0, seq, entry))
-        self._entry: Optional[ScheduledEvent] = entry
+        # Nothing left to set: __new__ returned a fully armed timeout.
+        pass
+
+    @property
+    def _name(self) -> Tuple[str, float]:
+        # Built on read (repr/error paths only), never per construction.
+        return ("timeout", self.delay)
 
     #: Firing the entry calls the timeout itself — no per-timeout bound
     #: method allocation for the overwhelmingly common case.
@@ -127,6 +100,9 @@ class Timeout(Event):
             # by the queue, and a second cancel() must not touch it.
             self._entry = None
             entry.cancel()
+
+
+_new = object.__new__
 
 
 class Process(Event):
@@ -233,8 +209,6 @@ class Process(Event):
                 if entry is not None and entry.callback is target and not entry.cancelled:
                     self._waiting_on = target
                     entry.callback = self._wake_cb
-                    args = entry.args
-                    entry.args = (target, args[0]) if args else (target,)
                     return
         elif not isinstance(target, Event):
             self._generator.close()
@@ -255,12 +229,14 @@ class Process(Event):
             else:
                 target.callbacks = [self._on_event_cb]
 
-    def _wake(self, timeout: "Timeout", value: Any = None) -> None:
+    def _wake(self, value: Any = None) -> None:
         # Partner of the direct-wake fast path in _wait_on_target: fired
-        # straight from the drain loop in place of Timeout.succeed().
+        # straight from the drain loop in place of Timeout.succeed(),
+        # with the entry's original args (the timeout's value, if any).
         # The resume guards are skipped deliberately — a rewired entry
         # can only fire while this (unfinished) process is waiting on
-        # exactly this timeout.
+        # exactly this timeout, so ``_waiting_on`` names it.
+        timeout = self._waiting_on
         timeout._fired = True
         timeout._value = value
         timeout._entry = None
@@ -283,6 +259,14 @@ class Process(Event):
         except BaseException as error:  # noqa: BLE001 - propagate to waiters
             self.fail(error)
             return
+        # _wait_on_target's rewire, inlined for the sleep-loop case: a
+        # process that wakes from one timeout and yields a fresh one.
+        if type(target) is Timeout and not target._fired and not target.callbacks:
+            entry = target._entry
+            if entry is not None and entry.callback is target and not entry.cancelled:
+                self._waiting_on = target
+                entry.callback = self._wake_cb
+                return
         self._wait_on_target(target)
 
 
@@ -465,7 +449,46 @@ class Simulator:
     # -- primitives ---------------------------------------------------------
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Event firing ``delay`` ms from now."""
-        return Timeout(self, delay, value)
+        # One chained compare rejects negatives, inf, and NaN (every
+        # comparison against NaN is False), so non-finite delays can
+        # never corrupt the heap ordering.
+        if not (0.0 <= delay < _INF):
+            raise ValueError(
+                f"timeout delay must be finite and >= 0, got {delay}"
+            )
+        timeout = _new(Timeout)
+        # Pristine timeouts carry no watcher list; Event.add_callback
+        # promotes () to a real list on first registration.
+        timeout.callbacks = ()
+        timeout._value = PENDING
+        timeout._ok = True
+        timeout._fired = False
+        timeout.delay = delay
+        # Inlined EventQueue.push (the single hottest call site in the
+        # repo): ``time`` is finite by construction, so the NaN guard is
+        # unnecessary, and the entry is recyclable by definition.
+        queue = self._queue
+        time = self._now + delay
+        seq = queue._seq
+        queue._seq = seq + 1
+        free = queue._free
+        if free:
+            entry = free.pop()
+            entry.time = time
+            entry.priority = 0
+            entry.seq = seq
+            entry.callback = timeout
+            entry.args = (value,) if value is not None else ()
+            entry.cancelled = False
+            entry.queue = queue
+        else:
+            entry = ScheduledEvent(
+                time, 0, seq, timeout,
+                (value,) if value is not None else (), queue, False,
+            )
+        heappush(queue._heap, (time, 0, seq, entry))
+        timeout._entry = entry
+        return timeout
 
     def event(self, name: str = "") -> Event:
         """A bare event for manual triggering."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator, Timeout
 
 
 class TestTimeoutAndRun:
@@ -175,6 +175,74 @@ class TestProcess:
         assert p.is_alive
         sim.run()
         assert not p.is_alive
+
+
+class TestDirectWake:
+    """A process sleeping on a pristine timeout is woken straight from the
+    drain loop; these pin what that shortcut must still deliver."""
+
+    def test_direct_construction_matches_sim_timeout(self):
+        sim = Simulator()
+        direct = Timeout(sim, 2.0, value="d")
+        via_sim = sim.timeout(2.0, value="s")
+        assert type(direct) is Timeout
+        assert direct.name == "timeout(2.0)" and direct.delay == 2.0
+        assert not direct.triggered
+        sim.run()
+        assert (direct.value, via_sim.value) == ("d", "s")
+        assert sim.now == 2.0
+        with pytest.raises(ValueError):
+            Timeout(sim, -1.0)
+
+    def test_back_to_back_sleeps_deliver_each_value(self):
+        sim = Simulator()
+
+        def proc(sim):
+            first = yield sim.timeout(1.0, value="a")
+            second = yield sim.timeout(2.0, value="b")
+            third = yield sim.timeout(3.0)
+            return first, second, third, sim.now
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert p.value == ("a", "b", None, 6.0)
+
+    def test_late_watcher_runs_after_the_sleeper(self):
+        sim = Simulator()
+        order = []
+        timeouts = []
+
+        def sleeper(sim):
+            yield sim.timeout(1.0)
+            t = sim.timeout(5.0, value="v")
+            timeouts.append(t)
+            got = yield t
+            order.append(("sleeper", got, sim.now))
+
+        sim.process(sleeper(sim))
+        sim.schedule(2.0, lambda: timeouts[0].add_callback(
+            lambda e: order.append(("watcher", e.value, e.triggered))
+        ))
+        sim.run()
+        assert order == [("sleeper", "v", 6.0), ("watcher", "v", True)]
+
+    def test_interrupt_during_second_sleep_drops_the_timer(self):
+        sim = Simulator()
+
+        def sleeper(sim):
+            yield sim.timeout(1.0)
+            try:
+                yield sim.timeout(100.0)
+                return "slept"
+            except Interrupt as i:
+                return f"interrupted:{i.cause}"
+
+        p = sim.process(sleeper(sim))
+        sim.schedule(10.0, p.interrupt, "wakeup")
+        sim.run()
+        assert p.value == "interrupted:wakeup"
+        assert sim.now == 10.0
+        assert len(sim._queue) == 0
 
 
 class TestComposites:
