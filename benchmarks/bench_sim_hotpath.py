@@ -192,44 +192,6 @@ def run_comparison(scale=1.0, repeats=5):
     }
 
 
-def measure_parallel_runner(jobs=4, seeds=(0, 1, 2)):
-    """Wall-clock of the full figure matrix, serial vs. ``jobs`` workers.
-
-    ``output_identical`` is the hard guarantee (figures are produced by
-    the same single-task code path either way); the wall-clock speedup
-    only materialises with spare cores — on a single-core host, spawn
-    overhead makes ``jobs>1`` strictly slower, so ``host_cpus`` is
-    recorded alongside and consumers must not gate speedup without it.
-    """
-    import os
-
-    from repro.experiments.runner import run_matrix
-
-    start = time.perf_counter()
-    serial = run_matrix(seeds=seeds, jobs=1)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = run_matrix(seeds=seeds, jobs=jobs)
-    parallel_s = time.perf_counter() - start
-
-    identical = all(
-        serial[seed][name].render() == parallel[seed][name].render()
-        for seed in serial
-        for name in serial[seed]
-    )
-    return {
-        "seeds": list(seeds),
-        "figures_per_seed": len(next(iter(serial.values()))),
-        "jobs": jobs,
-        "host_cpus": os.cpu_count(),
-        "serial_wall_s": round(serial_s, 3),
-        "parallel_wall_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-        "output_identical": identical,
-    }
-
-
 def run_check(scale=CHECK_SCALE, repeats=CHECK_REPEATS, attempts=3):
     """Fast gate: both engines at reduced scale, asserting the speedup.
 
@@ -270,12 +232,6 @@ def main(argv=None):
         help="fast speedup-gate mode (no JSON written)",
     )
     parser.add_argument(
-        "--no-runner",
-        action="store_true",
-        help="skip the (slow) parallel experiment-runner wall-clock section",
-    )
-    parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument(
         "--output",
         type=pathlib.Path,
         default=pathlib.Path(__file__).resolve().parents[1] / "BENCH_sim.json",
@@ -297,8 +253,6 @@ def main(argv=None):
         "min_hotloop_speedup": MIN_HOTLOOP_SPEEDUP,
         **run_check(),
     }
-    if not args.no_runner:
-        comparison["experiment_runner"] = measure_parallel_runner(jobs=args.jobs)
     args.output.write_text(json.dumps(comparison, indent=2) + "\n")
     print(json.dumps(comparison, indent=2))
     print(f"wrote {args.output}")

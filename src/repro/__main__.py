@@ -32,7 +32,7 @@ def cmd_experiments(args) -> int:
     from repro.experiments import run_all
 
     only = args.figures or None
-    figures = run_all(only=only, seed=args.seed, jobs=args.jobs)
+    figures = run_all(only=only, seed=args.seed)
     for figure in figures.values():
         print(figure.render())
         print()
@@ -152,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="run figure reproductions"
     )
     experiments.add_argument("figures", nargs="*", help="e.g. fig08 fig14")
-    experiments.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (output identical to serial)",
-    )
     experiments.set_defaults(func=cmd_experiments)
 
     apps = commands.add_parser("apps", help="list the application catalog")

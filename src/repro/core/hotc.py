@@ -188,8 +188,6 @@ class HotC(RuntimeProvider):
         self.pool.on_key_empty = self._forget_key
         #: Partial-key matching: relaxed key -> full keys seen under it.
         self._relaxed_index: Dict[RuntimeKey, set] = {}
-        #: Reuses served through the relaxed fallback (stats).
-        self.partial_hits = 0
         #: Inter-key repurposing: similarity model + cached per-key
         #: cold-boot estimates.  ``None`` unless opted in, so disabled
         #: runs never construct (or consult) the model.
@@ -199,9 +197,6 @@ class HotC(RuntimeProvider):
             else None
         )
         self._cold_estimates: Dict[RuntimeKey, float] = {}
-        #: Optional replicated metadata store (future work); when set,
-        #: acquire journals the pool transition before returning.
-        self.metadata_store = None
         #: Optional observatory; ``None`` keeps every hook inert.
         self.obs = None
         #: Optional admission controller; ``None`` keeps overload
@@ -247,15 +242,6 @@ class HotC(RuntimeProvider):
     def key_of(self, config: ContainerConfig) -> RuntimeKey:
         """Parameter analysis: config → runtime key."""
         return runtime_key(config, self.config.key_policy)
-
-    def attach_metadata_store(self, store) -> None:
-        """Journal pool transitions to a replicated KV store.
-
-        Puts one quorum write on the acquire path (durability at the
-        price of the store's round trip) — the reliability extension of
-        Section VII.
-        """
-        self.metadata_store = store
 
     def attach_observatory(self, observatory) -> None:
         """Wire the telemetry layer through this host (``None`` detaches).
@@ -339,8 +325,6 @@ class HotC(RuntimeProvider):
                     container = yield from self._acquire_repurpose(key, config)
             if container is not None:
                 container.leased = True
-                if self.metadata_store is not None:
-                    yield from self._journal(key, container, "busy")
                 return container, False
 
             breaker = self._breaker_for(key)
@@ -352,8 +336,6 @@ class HotC(RuntimeProvider):
             container = yield from self._boot_with_retry(key, config, breaker)
             self.pool.register(container, key, now=self.sim.now, available=False)
             container.leased = True
-            if self.metadata_store is not None:
-                yield from self._journal(key, container, "busy")
             return container, True
         except BaseException:
             # Roll back the demand bump: a failed acquire must not keep
@@ -461,7 +443,6 @@ class HotC(RuntimeProvider):
                 self.pool.discard_dead(container, reuse="relaxed")
                 continue
             self._adopt_donor(container, key, config, "relaxed", respec_ms)
-            self.partial_hits += 1
             self.engine.stats.relaxed_hits += 1
             return container
         return None
@@ -592,13 +573,6 @@ class HotC(RuntimeProvider):
                 ).inc()
             return container
         return None
-
-    def _journal(self, key: RuntimeKey, container: Container, state: str) -> Generator:
-        if self.metadata_store is None:
-            return
-        yield from self.metadata_store.put(
-            (str(key), container.container_id), state
-        )
 
     # -- failure-hardened boot path --------------------------------------------
     def _breaker_for(self, key: RuntimeKey) -> CircuitBreaker:
@@ -809,8 +783,6 @@ class HotC(RuntimeProvider):
                 yield from self._drain_recycle_queue()
                 return
         yield from self.cleanup.clean_and_recycle(container)
-        if self.metadata_store is not None:
-            yield from self._journal(key, container, "available")
         # Post-release pressure check: the paper terminates the oldest
         # live container when memory crosses the threshold.  (Guarded
         # here so the no-pressure common case costs no generator.)
@@ -967,7 +939,6 @@ class HotC(RuntimeProvider):
                 key: copy.deepcopy(breaker)
                 for key, breaker in self._breakers.items()
             },
-            partial_hits=self.partial_hits,
         )
 
     def snapshot_state(self):
@@ -1032,7 +1003,6 @@ class HotC(RuntimeProvider):
                 key: copy.deepcopy(breaker)
                 for key, breaker in checkpoint.breakers.items()
             }
-            self.partial_hits = max(self.partial_hits, checkpoint.partial_hits)
         seen = set()
         for container in self.engine.live_containers():
             cid = container.container_id
@@ -1545,14 +1515,3 @@ class HotC(RuntimeProvider):
             breaker.record_success()
 
         self.sim.process(_boot(), name=f"prewarm:{key}")
-
-    # -- ScalablePool protocol (drives the autoscaler ablation) ---------------
-    def warm_count(self, key: RuntimeKey) -> int:
-        """Idle pooled containers of ``key``."""
-        return self.pool.num_available(key)
-
-    def scale_to(self, key: RuntimeKey, target: int) -> Generator:
-        """Process: resize ``key`` toward ``target`` synchronously."""
-        self._resize_key(key, target)
-        return
-        yield  # pragma: no cover - generator marker

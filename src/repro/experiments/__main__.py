@@ -1,9 +1,7 @@
 """CLI entry point: print the reproduction of every paper figure.
 
-``python -m repro.experiments`` prints all figures serially;
-``python -m repro.experiments --jobs 8`` runs them across worker
-processes and prints byte-identical output (figures are always printed
-in paper order, regardless of which worker finished first).
+``python -m repro.experiments`` prints all figures in paper order;
+``python -m repro.experiments fig08 fig10`` prints a selection.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from repro.experiments.runner import run_all
 
 
 def main(argv=None) -> int:
-    """Run ``python -m repro.experiments [--jobs N] [--seed S] [figXX ...]``."""
+    """Run ``python -m repro.experiments [--seed S] [figXX ...]``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the paper's figures.",
@@ -26,17 +24,11 @@ def main(argv=None) -> int:
         help="subset of figures to run (default: all, in paper order)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial; output is identical)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="simulation seed (default 0)"
     )
     args = parser.parse_args(argv)
     only = args.figures or None
-    for figure_id, figure in run_all(only=only, seed=args.seed, jobs=args.jobs).items():
+    for figure_id, figure in run_all(only=only, seed=args.seed).items():
         print(figure.render())
         print()
     return 0

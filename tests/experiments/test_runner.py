@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, run_all
+from repro.experiments import runner
 from repro.experiments.runner import _registry
 
 
@@ -39,3 +40,31 @@ class TestRunAll:
             text = figure.render()
             assert figure.figure_id in text
             assert "note:" in text
+
+
+class TestRunOrder:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Stub every figure with a recorder; registry in reverse order."""
+        calls = []
+
+        def stub(name):
+            def run(seed):
+                calls.append((name, seed))
+                return name
+
+            return run
+
+        stubs = {name: stub(name) for name in reversed(ALL_EXPERIMENTS)}
+        monkeypatch.setattr(runner, "_registry", lambda: stubs)
+        return calls
+
+    def test_run_all_in_paper_order(self, calls):
+        figures = run_all(seed=3)
+        assert list(figures) == list(ALL_EXPERIMENTS)
+        assert calls == [(name, 3) for name in ALL_EXPERIMENTS]
+
+    def test_unknown_figure_raises_before_any_figure_runs(self, calls):
+        with pytest.raises(KeyError, match="fig99"):
+            run_all(only=["fig01", "fig99"])
+        assert calls == []

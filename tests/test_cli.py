@@ -3,6 +3,8 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.experiments import run_all
+from repro.experiments.__main__ import main as experiments_main
 
 
 class TestParser:
@@ -48,6 +50,20 @@ class TestCommands:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             main(["experiments", "fig99"])
+
+    def test_both_experiment_clis_print_same_bytes(self, capsys):
+        assert main(["--seed", "7", "experiments", "fig11", "fig02"]) == 0
+        top_level = capsys.readouterr().out
+        assert experiments_main(["--seed", "7", "fig11", "fig02"]) == 0
+        assert capsys.readouterr().out == top_level
+        figures = run_all(only=["fig11", "fig02"], seed=7)
+        assert top_level == "".join(f"{f.render()}\n\n" for f in figures.values())
+
+    def test_experiment_clis_take_no_jobs_flag(self):
+        with pytest.raises(SystemExit):
+            main(["experiments", "--jobs", "2", "fig11"])
+        with pytest.raises(SystemExit):
+            experiments_main(["--jobs", "2", "fig11"])
 
 
 class TestScenarioCommands:

@@ -45,8 +45,7 @@ class TestSimHotPathGate:
 
     def test_committed_comparison_shows_hotloop_speedup(self):
         """BENCH_sim.json (committed full run) must show the >= 3x
-        timeout-hotloop speedup the fast path promises, and the parallel
-        runner section must record byte-identical figures."""
+        timeout-hotloop speedup the fast path promises."""
         path = _BENCH_PATH.parents[1] / "BENCH_sim.json"
         comparison = json.loads(path.read_text())
         # Gate scale (what --check enforces): >= 3x on the timeout loop.
@@ -56,11 +55,3 @@ class TestSimHotPathGate:
         # shared O(log n) heap cost, so the floor is lower there.
         assert comparison["speedup"]["timeout_hotloop_events_per_sec"] >= 2.5
         assert comparison["speedup"]["timeout_churn_events_per_sec"] >= 1.0
-        runner = comparison["experiment_runner"]
-        assert runner["output_identical"] is True
-        assert runner["jobs"] >= 4
-        # The wall-clock speedup needs spare cores; on a single-core
-        # host (like this CI box) spawn overhead makes jobs>1 slower,
-        # so the committed number is only gated when cores were there.
-        if runner["host_cpus"] and runner["host_cpus"] >= 4:
-            assert runner["speedup"] >= 2.0
