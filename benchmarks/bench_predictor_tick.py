@@ -41,7 +41,7 @@ from repro.core.predictor import (  # noqa: E402
 )
 
 WINDOWS = (40, 512)
-#: Lags a default control tick tracks (``target_horizon`` = 4).
+#: Lags a default control tick tracks (the controller's ``horizon`` = 4).
 LAGS = (1, 2, 3, 4)
 
 

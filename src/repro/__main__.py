@@ -2,8 +2,9 @@
 
 Commands
 --------
-``experiments [figXX ...]``
-    Run (all or selected) figure reproductions and print them.
+``experiments [--seed S] [figXX ...]``
+    Run (all or selected) figure reproductions and print them; the
+    arguments are those of ``python -m repro.experiments``.
 ``apps``
     List the evaluation application catalog with cost profiles.
 ``profiles``
@@ -26,17 +27,7 @@ import argparse
 import sys
 
 import repro
-
-
-def cmd_experiments(args) -> int:
-    from repro.experiments import run_all
-
-    only = args.figures or None
-    figures = run_all(only=only, seed=args.seed)
-    for figure in figures.values():
-        print(figure.render())
-        print()
-    return 0
+from repro.experiments import __main__ as experiments_cli
 
 
 def cmd_apps(args) -> int:
@@ -151,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiments = commands.add_parser(
         "experiments", help="run figure reproductions"
     )
-    experiments.add_argument("figures", nargs="*", help="e.g. fig08 fig14")
-    experiments.set_defaults(func=cmd_experiments)
+    experiments_cli.add_arguments(experiments)
+    experiments.set_defaults(func=experiments_cli.run)
 
     apps = commands.add_parser("apps", help="list the application catalog")
     apps.set_defaults(func=cmd_apps)

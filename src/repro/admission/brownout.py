@@ -11,13 +11,19 @@ when a host is in that degraded mode:
 * **exit** only when ``mem_fraction < enter_threshold - exit_margin``
   *and* the cap is clear, so the mode cannot flap around the threshold.
 
+While degraded, HotC provisions ``BROWNOUT_TARGET_FACTOR`` of each
+predicted pool target.
+
 The controller is pure bookkeeping (no simulation events), so checking
 it every control tick costs two float compares.
 """
 
 from __future__ import annotations
 
-__all__ = ["BrownoutController"]
+__all__ = ["BROWNOUT_TARGET_FACTOR", "BrownoutController"]
+
+#: Factor applied to predictor pool targets while a host is browned out.
+BROWNOUT_TARGET_FACTOR = 0.5
 
 
 class BrownoutController:

@@ -58,22 +58,12 @@ class AdmissionConfig:
     #: Relative deadline applied when the function spec does not set
     #: one; ``None`` leaves such requests deadline-free.
     default_deadline_ms: Optional[float] = 30_000.0
-    #: Shed standard-QoS requests while any host is browned out.
-    brownout_shed_standard: bool = True
-    #: Brownout hysteresis: exit only below ``threshold - margin``.
-    brownout_exit_margin: float = 0.05
-    #: Factor applied to predictor pool targets while browned out.
-    brownout_target_factor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be > 0 (or None)")
-        if not 0.0 <= self.brownout_exit_margin < 1.0:
-            raise ValueError("brownout_exit_margin must be in [0, 1)")
-        if not 0.0 < self.brownout_target_factor <= 1.0:
-            raise ValueError("brownout_target_factor must be in (0, 1]")
 
 
 @dataclass
@@ -237,11 +227,7 @@ class AdmissionController:
             return self._reject(spec, trace, REASON_SHUTDOWN)
         if now >= trace.deadline:
             return self._deadline_miss(spec, trace)
-        if (
-            self._browned_out
-            and self.config.brownout_shed_standard
-            and spec.qos != "critical"
-        ):
+        if self._browned_out and spec.qos != "critical":
             return self._reject(spec, trace, REASON_BROWNOUT)
         state = self._state_for(spec.name)
         if state.inflight < state.limiter.effective and state.depth == 0:

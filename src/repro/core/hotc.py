@@ -21,7 +21,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.admission.brownout import BrownoutController
+from repro.admission.brownout import BROWNOUT_TARGET_FACTOR, BrownoutController
 from repro.containers.container import Container, ContainerConfig
 from repro.containers.engine import ContainerEngine
 from repro.core.breaker import CircuitBreaker
@@ -45,13 +45,28 @@ from repro.faults.errors import (
 )
 from repro.recovery.checkpoint import HostCheckpoint, PoolEntrySnapshot
 from repro.recovery.manager import RepairEvent, RepairKind
-from repro.sim.engine import AnyOf
 
 __all__ = ["HotC", "HotCConfig"]
 
 #: Boot failures HotC retries on the same host (host outages are not
 #: retryable locally; the cluster scheduler fails over instead).
 _RETRYABLE = (BootFailure, TransientEngineError)
+
+#: Extra boot attempts after a retryable boot failure.
+BOOT_RETRIES = 2
+#: Exponential backoff between boot attempts: the n-th retry waits
+#: ``base * factor**(n-1)`` ms, +/- ``jitter`` fraction when the engine
+#: has a jitter RNG.
+BOOT_BACKOFF_BASE_MS = 50.0
+BOOT_BACKOFF_FACTOR = 2.0
+BOOT_BACKOFF_JITTER = 0.1
+#: Per-key circuit breaker: open after this many consecutive boot
+#: failures and fail fast (also pausing prewarm) until the cooldown
+#: elapses; a half-open probe then decides.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_MS = 5_000.0
+#: Minimum key-similarity score a repurpose donor must reach to be priced.
+REPURPOSE_MIN_SCORE = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,21 +78,10 @@ class HotCConfig:
     eviction: str = "oldest"
     #: Adaptive control period; 0 disables the prediction loop.
     control_interval_ms: float = 1_000.0
-    #: Eq. 1 smoothing coefficient (paper: 0.8).
-    alpha: float = 0.8
-    #: Markov region states for the residual chain.
-    n_states: int = 4
-    #: Initial-value policy of the smoother ("auto" per the paper).
-    init: str = "auto"
     #: Use the Markov correction (False = ES only; the Fig 10a ablation).
     markov_correction: bool = True
     #: Pre-boot containers toward the forecast (False = reuse only).
     prewarm: bool = True
-    #: Pool-sizing risk level: provision for this quantile of the
-    #: predicted demand over ``target_horizon`` control intervals.
-    target_quantile: float = 0.9
-    #: Look-ahead (control intervals) for the k-step Markov forecast.
-    target_horizon: int = 4
     #: Future-work partial-key matching (Section VII): on a full-key
     #: miss, reuse an idle container whose *relaxed* key matches and
     #: apply the configuration delta.  ``None`` disables the fallback.
@@ -89,29 +93,6 @@ class HotCConfig:
     #: the container will not be missed.  Strictly opt-in: disabled
     #: runs take no extra sim events and stay bit-identical.
     repurpose: bool = False
-    #: Minimum key-similarity score a donor must reach to be priced.
-    repurpose_min_score: float = 0.5
-    #: Extra boot attempts after a retryable boot failure (0 = one shot).
-    boot_retries: int = 2
-    #: Exponential backoff between boot attempts: the n-th retry waits
-    #: ``base * factor**(n-1)`` ms, +/- ``jitter`` fraction when the
-    #: engine has a jitter RNG.
-    boot_backoff_base_ms: float = 50.0
-    boot_backoff_factor: float = 2.0
-    boot_backoff_jitter: float = 0.1
-    #: Boot deadline; when a boot exceeds it, one hedged fallback boot
-    #: races the straggler (first to finish wins, the loser is pooled).
-    #: ``None`` disables hedging and keeps the boot inline.
-    boot_timeout_ms: Optional[float] = None
-    #: Per-key circuit breaker: open after this many consecutive boot
-    #: failures and fail fast (also pausing prewarm) until the cooldown
-    #: elapses; a half-open probe then decides.  <= 0 disables it.
-    breaker_threshold: int = 3
-    breaker_cooldown_ms: float = 5_000.0
-    #: Sliding-window length of each key's residual Markov chain; a
-    #: long-running gateway must not grow predictor state without bound.
-    #: ``None`` keeps every residual (the pre-window batch behaviour).
-    markov_window: Optional[int] = 512
     #: Container aging & self-healing (DESIGN.md §14): a per-container
     #: health plane scores exec outcomes, latency residuals and RSS
     #: trajectory, quarantines contaminated containers, and proactively
@@ -125,33 +106,12 @@ class HotCConfig:
             raise ValueError(
                 "fallback_key_policy must differ from key_policy"
             )
-        if not 0.0 <= self.repurpose_min_score <= 1.0:
-            raise ValueError("repurpose_min_score must be in [0, 1]")
-        if self.boot_retries < 0:
-            raise ValueError("boot_retries must be >= 0")
-        if self.boot_backoff_base_ms < 0:
-            raise ValueError("boot_backoff_base_ms must be >= 0")
-        if self.boot_backoff_factor < 1.0:
-            raise ValueError("boot_backoff_factor must be >= 1")
-        if not 0.0 <= self.boot_backoff_jitter < 1.0:
-            raise ValueError("boot_backoff_jitter must be in [0, 1)")
-        if self.boot_timeout_ms is not None and self.boot_timeout_ms <= 0:
-            raise ValueError("boot_timeout_ms must be > 0 (or None)")
-        if self.breaker_cooldown_ms <= 0:
-            raise ValueError("breaker_cooldown_ms must be > 0")
-        if self.markov_window is not None and self.markov_window < 2:
-            raise ValueError("markov_window must be >= 2 (or None)")
 
     def make_predictor(self) -> CombinedPredictor:
-        """A fresh predictor configured per this config."""
+        """A fresh predictor with the paper's settings (alpha 0.8, four
+        residual states, mean-of-five init, a 512-residual window)."""
         min_history = 6 if self.markov_correction else 10**9
-        return CombinedPredictor(
-            alpha=self.alpha,
-            n_states=self.n_states,
-            init=self.init,
-            min_history=min_history,
-            markov_window=self.markov_window,
-        )
+        return CombinedPredictor(min_history=min_history)
 
 
 class HotC(RuntimeProvider):
@@ -272,8 +232,7 @@ class HotC(RuntimeProvider):
             self._brownout = None
             return
         self._brownout = BrownoutController(
-            enter_threshold=self.config.limits.memory_threshold,
-            exit_margin=controller.config.brownout_exit_margin,
+            enter_threshold=self.config.limits.memory_threshold
         )
 
     def attach_recovery(self, manager) -> None:
@@ -297,11 +256,10 @@ class HotC(RuntimeProvider):
         the cold boot that follows otherwise.
 
         The cold-boot path is failure-hardened: boots are retried with
-        exponential backoff on retryable failures, optionally hedged
-        past ``boot_timeout_ms``, and refused outright while the key's
-        circuit breaker is open.  If anything raises, the demand bump
-        taken at entry is rolled back so ``_busy`` (and with it the
-        predictor's demand signal) never leaks.
+        exponential backoff on retryable failures and refused outright
+        while the key's circuit breaker is open.  If anything raises,
+        the demand bump taken at entry is rolled back so ``_busy`` (and
+        with it the predictor's demand signal) never leaks.
         """
         if self._crashed:
             # Control-plane crash window: fail fast so the caller's
@@ -500,16 +458,13 @@ class HotC(RuntimeProvider):
             if donor_config is None:
                 continue
             score = model.score(donor_config, config)
-            if score < self.config.repurpose_min_score:
+            if score < REPURPOSE_MIN_SCORE:
                 continue
             cost = model.respec_cost_ms(score, estimate)
             if cost is None:
                 continue
             headroom = self.controller.donation_headroom(
-                donor_key,
-                self.pool.num_total(donor_key),
-                quantile=self.config.target_quantile,
-                horizon=self.config.target_horizon,
+                donor_key, self.pool.num_total(donor_key)
             )
             if headroom < 1:
                 continue
@@ -580,8 +535,7 @@ class HotC(RuntimeProvider):
         breaker = self._breakers.get(key)
         if breaker is None:
             breaker = CircuitBreaker(
-                threshold=self.config.breaker_threshold,
-                cooldown_ms=self.config.breaker_cooldown_ms,
+                threshold=BREAKER_THRESHOLD, cooldown_ms=BREAKER_COOLDOWN_MS
             )
             breaker.on_transition = self._breaker_transition_hook(key)
             self._breakers[key] = breaker
@@ -628,13 +582,10 @@ class HotC(RuntimeProvider):
 
     def _backoff_ms(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), with jitter."""
-        delay = self.config.boot_backoff_base_ms * (
-            self.config.boot_backoff_factor ** (attempt - 1)
-        )
+        delay = BOOT_BACKOFF_BASE_MS * BOOT_BACKOFF_FACTOR ** (attempt - 1)
         rng = self.engine.latency.rng
-        if rng is not None and self.config.boot_backoff_jitter > 0:
-            spread = self.config.boot_backoff_jitter
-            delay *= 1.0 + spread * (2.0 * float(rng.random()) - 1.0)
+        if rng is not None:
+            delay *= 1.0 + BOOT_BACKOFF_JITTER * (2.0 * float(rng.random()) - 1.0)
         return delay
 
     def _boot_with_retry(
@@ -648,14 +599,12 @@ class HotC(RuntimeProvider):
         attempt = 0
         while True:
             try:
-                container = yield from self._boot_guarded(key, config)
+                container = yield from self._boot_once(key, config)
             except _RETRYABLE:
                 if breaker.record_failure(self.sim.now):
                     self.engine.stats.breaker_opens += 1
                 attempt += 1
-                if attempt > self.config.boot_retries or not breaker.allow(
-                    self.sim.now
-                ):
+                if attempt > BOOT_RETRIES or not breaker.allow(self.sim.now):
                     raise
                 self.engine.stats.boot_retries += 1
                 yield self.sim.timeout(self._backoff_ms(attempt))
@@ -663,9 +612,7 @@ class HotC(RuntimeProvider):
                 breaker.record_success()
                 return container
 
-    def _boot_once(
-        self, key: RuntimeKey, config: ContainerConfig, warm_runtime: bool = False
-    ) -> Generator:
+    def _boot_once(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
         """Process: one capacity-guarded boot attempt.
 
         The boot counts against the cap while in flight so concurrent
@@ -675,84 +622,10 @@ class HotC(RuntimeProvider):
         self._note_pending(key, +1)
         try:
             yield from self._make_room()
-            container = yield from self.engine.boot_container(
-                config, warm_runtime=warm_runtime
-            )
+            container = yield from self.engine.boot_container(config)
         finally:
             self._note_pending(key, -1)
         return container
-
-    def _boot_guarded(self, key: RuntimeKey, config: ContainerConfig) -> Generator:
-        """Process: one boot attempt, hedged past ``boot_timeout_ms``.
-
-        Without a timeout configured the boot runs inline (identical to
-        the unhardened path).  With one, a straggling primary boot is
-        raced by a single hedged boot; the first to finish serves the
-        request and the loser lands in the pool as a warm spare.
-        """
-        if self.config.boot_timeout_ms is None:
-            container = yield from self._boot_once(key, config)
-            return container
-        primary = self.sim.process(
-            self._boot_once(key, config), name=f"boot:{key}"
-        )
-        deadline = self.sim.timeout(self.config.boot_timeout_ms)
-        try:
-            index, value = yield AnyOf([primary, deadline])
-        finally:
-            deadline.cancel()
-        if index == 0:
-            return value
-        # The primary exceeded the deadline: hedge once and race.
-        self.engine.stats.hedged_boots += 1
-        hedge = self.sim.process(
-            self._boot_once(key, config), name=f"hedge:{key}"
-        )
-        racers = [primary, hedge]
-        last_error: Optional[BaseException] = None
-        while racers:
-            try:
-                index, value = yield AnyOf(racers)
-            except Exception as error:  # a racer failed; keep the rest
-                last_error = error
-                racers = [p for p in racers if not p.triggered]
-                continue
-            winner = racers[index]
-            for loser in racers:
-                if loser is not winner:
-                    self._absorb_boot(key, loser)
-            return value
-        raise last_error
-
-    def _absorb_boot(self, key: RuntimeKey, process) -> None:
-        """Land a losing hedged boot: pool it warm, or retire it.
-
-        Failures are absorbed silently (they were already counted when
-        raised); a successful late boot joins the pool as an available
-        warm container unless the pool is full or draining.
-        """
-
-        def _land(event) -> None:
-            if not event.ok or event.value is None:
-                return
-            container = event.value
-            if self.pool.contains(container):
-                # A recovery sweep already adopted this boot's container.
-                return
-            if (
-                self._draining
-                or self.pool.total_live >= self.config.limits.max_containers
-            ):
-                self.sim.process(
-                    self.cleanup.retire(container),
-                    name=f"retire-late-boot:{container.container_id}",
-                )
-            else:
-                self.pool.register(
-                    container, key, now=self.sim.now, available=True
-                )
-
-        process.add_callback(_land)
 
     def release(self, container: Container) -> Generator:
         """Process: clean and recycle (runs off the critical path).
@@ -1324,20 +1197,14 @@ class HotC(RuntimeProvider):
             target = None
             if self.config.prewarm:
                 target = max(
-                    self.controller.target_upper(
-                        key,
-                        quantile=self.config.target_quantile,
-                        horizon=self.config.target_horizon,
-                    ),
+                    self.controller.target_upper(key),
                     self.controller.target(key),
                 )
                 if admission is not None and self._brownout.active:
                     # Degraded mode: provision for a fraction of the
                     # forecast so the pool sheds weight before the
                     # pressure path has to evict warm containers.
-                    target = int(
-                        target * admission.config.brownout_target_factor
-                    )
+                    target = int(target * BROWNOUT_TARGET_FACTOR)
                 self._resize_key(key, target)
             if obs is not None:
                 host = self.engine.name

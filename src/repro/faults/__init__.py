@@ -12,7 +12,7 @@ outages.  This package injects all of those deterministically:
   surface :class:`~repro.containers.engine.ContainerEngine` consults on
   every boot and execution.
 * :mod:`~repro.faults.errors` — the failure taxonomy consumers
-  recover from (retry + backoff, hedged boot, circuit breaker, cluster
+  recover from (retry + backoff, circuit breaker, cluster
   failover, bounded request retries).
 """
 

@@ -60,7 +60,6 @@ class FaultInjector:
         self._forced_boot_failures = 0
         self._forced_transient_errors = 0
         self._forced_exec_crashes = 0
-        self._forced_boot_delays: List[float] = []
         self._forced_leaks: List[float] = []
         self._forced_decays: List[float] = []
         self._forced_crash_loops: List[int] = []
@@ -74,10 +73,6 @@ class FaultInjector:
     def glitch_next_boots(self, n: int = 1) -> None:
         """Force the next ``n`` boots to raise :class:`TransientEngineError`."""
         self._forced_transient_errors += n
-
-    def delay_next_boots(self, ms: float, n: int = 1) -> None:
-        """Make the next ``n`` boots straggle by ``ms`` milliseconds."""
-        self._forced_boot_delays.extend([float(ms)] * n)
 
     def crash_next_execs(self, n: int = 1) -> None:
         """Force the next ``n`` executions to crash mid-run."""
@@ -126,8 +121,6 @@ class FaultInjector:
         if self._forced_boot_failures > 0:
             self._forced_boot_failures -= 1
             yield from self._raise_boot_failure(engine)
-        if self._forced_boot_delays:
-            yield from self._straggle(engine, self._forced_boot_delays.pop(0))
         spec = self.spec
         if spec.transient_error_rate and self.rng.random() < spec.transient_error_rate:
             yield from self._raise_transient(engine)

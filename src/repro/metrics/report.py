@@ -176,7 +176,6 @@ def failure_table(
         rows.append(("observed", attr, engine_sum(attr)))
     for attr in (
         "boot_retries",
-        "hedged_boots",
         "breaker_opens",
         "breaker_fastfails",
         "request_retries",

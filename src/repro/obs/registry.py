@@ -3,19 +3,17 @@
 The registry is the numeric half of :mod:`repro.obs` (the event log is
 the other).  Metrics are identified by ``(name, labels)`` where labels
 are free-form key/value tags — by convention every instrument carries a
-``host`` label and per-runtime-key series add a ``key`` label, so
-per-host registries stay mergeable into one cluster-wide view.
+``host`` label and per-runtime-key series add a ``key`` label.
 
 Design constraints (see DESIGN.md §7):
 
 * **Cheap** — each observation is a dict lookup plus an integer/float
   add (histograms: one bisect).  Nothing allocates per observation
   after the instrument exists.
-* **Mergeable** — :meth:`MetricsRegistry.merge` folds another registry
-  in: counters and histograms add, gauges take the incoming sample.
-  Histogram merge is count-lossless and order-independent because the
-  buckets are fixed at construction and identically-labelled series
-  must share bucket bounds.
+* **Mergeable histograms** — :meth:`Histogram.merge_from` folds
+  another histogram in.  The merge is count-lossless and
+  order-independent because the buckets are fixed at construction and
+  identically-labelled series must share bucket bounds.
 * **Sim-time native** — the registry never reads a wall clock; callers
   stamp times where needed (the event log, the snapshotter).
 """
@@ -201,9 +199,7 @@ class MetricsRegistry:
     """Get-or-create store of labelled instruments.
 
     One registry typically serves a whole platform; per-host series are
-    distinguished by the ``host`` label rather than separate registries,
-    but :meth:`merge` also supports folding independently collected
-    registries (e.g. from parallel runs) into one.
+    distinguished by the ``host`` label rather than separate registries.
     """
 
     def __init__(self) -> None:
@@ -296,27 +292,6 @@ class MetricsRegistry:
                 for h in self.histograms()
             ],
         }
-
-    # -- merging -------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (in place); returns self.
-
-        Counters and histograms add; a gauge takes the incoming sample
-        (it is a point-in-time reading, so "last write wins" across
-        identically-labelled series — distinct hosts never collide
-        because of the ``host`` label).
-        """
-        for (name, labels), counter in other._counters.items():
-            self.counter(name, **dict(labels)).inc(counter.value)
-        for (name, labels), gauge in other._gauges.items():
-            self.gauge(name, **dict(labels)).set(gauge.value)
-        for (name, labels), histogram in other._histograms.items():
-            self.histogram(
-                name, bounds=histogram.bounds, **dict(labels)
-            ).merge_from(histogram)
-        for name, text in other._help.items():
-            self._help.setdefault(name, text)
-        return self
 
     # -- Prometheus text exposition -------------------------------------------
     @staticmethod

@@ -203,19 +203,6 @@ class TestAdmission:
         sim.run()
         assert client.traces[2].outcome is RequestOutcome.SUCCESS
 
-    def test_brownout_shedding_can_be_disabled(self):
-        sim = Simulator()
-        ctrl = make_controller(
-            sim,
-            aimd=AIMDConfig(initial_limit=8.0),
-            brownout_shed_standard=False,
-        )
-        client = Client(sim, ctrl)
-        ctrl.set_brownout("host-0", True)
-        client.spawn(spec_of(), hold_ms=1.0)
-        sim.run()
-        assert client.traces[0].outcome is RequestOutcome.SUCCESS
-
 
 class TestAIMDIntegration:
     def test_release_outcomes_feed_the_limiter(self):

@@ -129,6 +129,8 @@ class TestMarkovWindowPlumbing:
     def test_window_reaches_residual_chain(self):
         predictor = CombinedPredictor(markov_window=16)
         assert predictor.residual_chain.window == 16
+        with pytest.raises(ValueError):
+            CombinedPredictor(markov_window=1)
         for value in range(100):
             predictor.update(float(value))
         # One residual per update after the first forecast exists.
@@ -143,7 +145,5 @@ class TestMarkovWindowPlumbing:
     def test_hotc_config_plumbs_window(self):
         from repro.core.hotc import HotCConfig
 
-        predictor = HotCConfig(markov_window=32).make_predictor()
-        assert predictor.residual_chain.window == 32
-        with pytest.raises(ValueError):
-            HotCConfig(markov_window=1)
+        predictor = HotCConfig().make_predictor()
+        assert predictor.residual_chain.window == 512

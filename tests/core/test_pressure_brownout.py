@@ -9,7 +9,8 @@ hysteresis margin.
 
 import pytest
 
-from repro.admission import AdmissionConfig, AdmissionController
+from repro.admission import AdmissionController
+from repro.admission.brownout import BROWNOUT_TARGET_FACTOR
 from repro.core import HotC, HotCConfig, PoolLimits
 from repro.faas import FaasPlatform
 from repro.obs import EventKind, Observatory
@@ -110,9 +111,7 @@ class TestHotCBrownout:
         config = HotCConfig(limits=PoolLimits(memory_threshold=0.8))
         platform = make_platform(registry, config)
         platform.deploy(fn_python)
-        ctrl = AdmissionController(
-            AdmissionConfig(brownout_exit_margin=0.05)
-        )
+        ctrl = AdmissionController()
         platform.attach_admission(ctrl)
         frac = FractionHolder(0.0)
         monkeypatch.setattr(
@@ -138,7 +137,7 @@ class TestHotCBrownout:
         hotc._update_brownout()
         assert ctrl.brownout_active
 
-        frac.value = 0.74  # below threshold - margin: exit
+        frac.value = 0.74  # below threshold - margin (0.05): exit
         hotc._update_brownout()
         assert not ctrl.brownout_active
         assert hotc._brownout.entries == 1
@@ -179,13 +178,11 @@ class TestHotCBrownout:
         self, registry, fn_python, monkeypatch
     ):
         """While browned out the predictor's pool target is scaled by
-        ``brownout_target_factor`` so the pool sheds weight."""
+        ``BROWNOUT_TARGET_FACTOR`` so the pool sheds weight."""
         config = HotCConfig(limits=PoolLimits(memory_threshold=0.8))
         platform = make_platform(registry, config)
         platform.deploy(fn_python)
-        ctrl = AdmissionController(
-            AdmissionConfig(brownout_target_factor=0.5)
-        )
+        ctrl = AdmissionController()
         platform.attach_admission(ctrl)
         hotc = platform.provider
         targets = []
@@ -208,4 +205,5 @@ class TestHotCBrownout:
         hotc._brownout.active = True
         hotc._peak[key] = 8
         hotc.control_tick()
-        assert targets[-1] == int(healthy * 0.5)
+        assert targets[-1] == int(healthy * BROWNOUT_TARGET_FACTOR)
+        assert targets[-1] < healthy

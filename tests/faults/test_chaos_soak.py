@@ -28,8 +28,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
     )
 
 

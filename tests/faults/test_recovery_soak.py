@@ -23,7 +23,7 @@ from repro.admission import AdmissionConfig, AdmissionController, AIMDConfig
 from repro.core import HotCConfig, PoolLimits, make_cluster_platform
 from repro.faults import FaultPlan
 from repro.health import HealthMonitor
-from repro.recovery import RecoveryConfig, RecoveryManager
+from repro.recovery import RecoveryManager
 from repro.sim.rng import derive_seed
 
 SEEDS = [1, 2, 3, 4, 5]
@@ -36,8 +36,6 @@ def hotc_config():
     return HotCConfig(
         control_interval_ms=1_000.0,
         limits=PoolLimits(max_containers=12),
-        boot_timeout_ms=5_000.0,
-        breaker_cooldown_ms=3_000.0,
     )
 
 
@@ -111,9 +109,7 @@ def build(registry, fn_python, fn_go, seed):
     platform.attach_admission(AdmissionController(admission_config()))
     monitor = HealthMonitor(platform.sim)
     cluster.attach_health(monitor)
-    manager = RecoveryManager(
-        cluster, RecoveryConfig(checkpoint_every_ticks=3)
-    )
+    manager = RecoveryManager(cluster)
     return platform, cluster, monitor, manager
 
 

@@ -1,8 +1,9 @@
-"""HotC's hardened boot path: retry, backoff, hedging, breaker, drain."""
+"""HotC's hardened boot path: retry, backoff, breaker, drain."""
 
 
 from repro.containers import ContainerError
-from repro.core import HotC, HotCConfig, PoolLimits
+from repro.core import HotC, HotCConfig
+from repro.core import hotc as hotc_module
 from repro.faas import FaasPlatform, RequestOutcome
 from repro.faults import FaultInjector
 
@@ -47,31 +48,34 @@ class TestBootRetry:
         assert platform.engine.stats.boot_retries == 2
 
     def test_backoff_delays_the_retry(self, registry, fn_python):
-        config = HotCConfig(
-            control_interval_ms=0,
-            boot_backoff_base_ms=500.0,
-            boot_backoff_jitter=0.0,
-        )
-        platform, injector = make_platform(registry, config)
-        platform.deploy(fn_python)
-
-        baseline_platform, _ = make_platform(registry, config)
+        """Each retry waits ``base * factor**(n-1)`` ms (+/- jitter)."""
+        baseline_platform, _ = make_platform(registry)
         baseline_platform.deploy(fn_python)
         baseline_platform.submit(fn_python.name)
         baseline_platform.run()
         baseline = baseline_platform.traces.traces[0].total_latency
 
-        injector.fail_next_boots(1)
-        platform.submit(fn_python.name)
-        platform.run()
-        retried = platform.traces.traces[0].total_latency
-        assert retried >= baseline + 500.0
+        base = hotc_module.BOOT_BACKOFF_BASE_MS
+        factor = hotc_module.BOOT_BACKOFF_FACTOR
+        jitter = hotc_module.BOOT_BACKOFF_JITTER
+        for failures in (1, 2):
+            platform, injector = make_platform(registry)
+            platform.deploy(fn_python)
+            injector.fail_next_boots(failures)
+            platform.submit(fn_python.name)
+            platform.run()
+            waited = platform.traces.traces[0].total_latency - baseline
+            backoff = sum(base * factor**n for n in range(failures))
+            assert (1 - jitter) * backoff <= waited <= (1 + jitter) * backoff
 
-    def test_retries_exhausted_fails_the_request(self, registry, fn_python):
-        config = HotCConfig(
-            control_interval_ms=0, boot_retries=1, breaker_threshold=0
+    def test_retries_exhausted_fails_the_request(
+        self, registry, fn_python, monkeypatch
+    ):
+        # Keep the breaker shut so only the retry budget stops the boots.
+        monkeypatch.setattr(
+            hotc_module, "BREAKER_THRESHOLD", hotc_module.BOOT_RETRIES + 2
         )
-        platform, injector = make_platform(registry, config, request_retries=0)
+        platform, injector = make_platform(registry, request_retries=0)
         platform.deploy(fn_python)
         injector.fail_next_boots(10)
         platform.submit(fn_python.name)
@@ -80,8 +84,12 @@ class TestBootRetry:
         assert trace.outcome is RequestOutcome.FAILED
         assert "BootFailure" in trace.error
         assert platform.engine.stats.requests_failed == 1
-        # 1 original + 1 provider retry, then the watchdog gave up.
-        assert platform.engine.stats.boot_failures == 2
+        # 1 original + BOOT_RETRIES provider retries, then the watchdog
+        # gave up.
+        retries = hotc_module.BOOT_RETRIES
+        assert platform.engine.stats.boot_retries == retries
+        assert platform.engine.stats.boot_failures == 1 + retries
+        assert platform.engine.stats.breaker_opens == 0
 
 
 class TestBusyAccounting:
@@ -96,7 +104,7 @@ class TestBusyAccounting:
             seed=0,
             jitter_sigma=0.0,
             provider_factory=lambda e: HotC(
-                e, HotCConfig(control_interval_ms=0, boot_retries=0)
+                e, HotCConfig(control_interval_ms=0)
             ),
         )
         platform.deploy(fn_python)
@@ -132,85 +140,56 @@ class TestBusyAccounting:
         provider.pool.check_consistency()
 
 
-class TestHedgedBoot:
-    def test_straggler_hedged_and_loser_pooled(self, registry, fn_python):
-        config = HotCConfig(
-            control_interval_ms=0,
-            boot_timeout_ms=2_000.0,
-            limits=PoolLimits(max_containers=10),
-        )
-        platform, injector = make_platform(registry, config)
-        platform.deploy(fn_python)
-        injector.delay_next_boots(30_000.0, 1)
-        platform.submit(fn_python.name)
-        platform.run()
-        assert platform.engine.stats.hedged_boots == 1
-        trace = platform.traces.traces[0]
-        assert trace.outcome is RequestOutcome.SUCCESS
-        # The hedge served the request well before the straggler landed.
-        assert trace.total_latency < 10_000.0
-        # The late primary joined the pool as a warm spare.
-        assert platform.provider.pool.total_live == 2
-        assert platform.provider.pool.total_available == 2
-        platform.provider.pool.check_consistency()
-
-    def test_no_timeout_means_no_hedging(self, registry, fn_python):
-        platform, injector = make_platform(registry)
-        platform.deploy(fn_python)
-        injector.delay_next_boots(5_000.0, 1)
-        platform.submit(fn_python.name)
-        platform.run()
-        assert platform.engine.stats.hedged_boots == 0
-        assert platform.traces.traces[0].total_latency > 5_000.0
-
-
 class TestBreakerIntegration:
-    def _config(self):
-        return HotCConfig(
-            control_interval_ms=0,
-            boot_retries=0,
-            breaker_threshold=2,
-            breaker_cooldown_ms=10_000.0,
-        )
+    """The breaker opens after ``BREAKER_THRESHOLD`` consecutive boot
+    failures and stays open for ``BREAKER_COOLDOWN_MS``."""
+
+    threshold = hotc_module.BREAKER_THRESHOLD
+    cooldown_ms = hotc_module.BREAKER_COOLDOWN_MS
 
     def test_breaker_opens_and_fails_fast(self, registry, fn_python):
-        platform, injector = make_platform(
-            registry, self._config(), request_retries=0
-        )
+        platform, injector = make_platform(registry, request_retries=0)
         platform.deploy(fn_python)
         injector.fail_next_boots(100)
+        # Spaced past the retry backoff but inside the cooldown.
+        spacing = 1_000.0
+        assert 2 * spacing < self.cooldown_ms
         for i in range(3):
-            platform.submit(fn_python.name, delay=i * 100.0)
+            platform.submit(fn_python.name, delay=i * spacing)
         platform.run(until=60_000.0)
         stats = platform.engine.stats
         assert stats.breaker_opens == 1
-        # The third request was refused without touching the engine.
-        assert stats.breaker_fastfails == 1
-        assert stats.boot_failures == 2
+        # The later requests were refused without touching the engine.
+        assert stats.breaker_fastfails == 2
+        assert stats.boot_failures == self.threshold
         assert platform.traces.failed_count() == 3
 
     def test_half_open_probe_recovers(self, registry, fn_python):
-        platform, injector = make_platform(
-            registry, self._config(), request_retries=0
-        )
+        platform, injector = make_platform(registry, request_retries=0)
         platform.deploy(fn_python)
-        injector.fail_next_boots(2)  # exactly enough to open
+        # Exactly enough to open, all spent by the first request's
+        # 1 + BOOT_RETRIES attempts.
+        assert 1 + hotc_module.BOOT_RETRIES >= self.threshold
+        injector.fail_next_boots(self.threshold)
         platform.submit(fn_python.name, delay=0.0)
-        platform.submit(fn_python.name, delay=100.0)
         # After the cooldown the forced failures are exhausted: the
         # half-open probe boots cleanly and the breaker closes.  The
         # last request comes well after the probe finished (a request
         # arriving mid-probe would be fast-failed by design).
-        platform.submit(fn_python.name, delay=15_000.0)
-        platform.submit(fn_python.name, delay=60_000.0)
+        probe_at = self.cooldown_ms + 1_000.0
+        platform.submit(fn_python.name, delay=probe_at)
+        platform.submit(fn_python.name, delay=probe_at + 45_000.0)
         platform.run(until=120_000.0)
         outcomes = platform.traces.outcome_counts()
-        assert outcomes.get("failed") == 2
+        assert platform.engine.stats.breaker_opens == 1
+        assert outcomes.get("failed") == 1
         assert outcomes.get("success") == 2
         assert platform.engine.stats.breaker_fastfails == 0
+        key = platform.provider.key_of(fn_python.container_config())
+        assert platform.provider._breaker_for(key).state == "closed"
 
     def test_open_breaker_pauses_prewarm(self, registry, fn_python):
-        platform, injector = make_platform(registry, self._config())
+        platform, injector = make_platform(registry)
         platform.deploy(fn_python)
         provider = platform.provider
         injector.fail_next_boots(100)

@@ -82,16 +82,6 @@ class TestHistogram:
 
 
 class TestRegistryMerge:
-    def test_counters_add_gauges_overwrite(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c", host="h").inc(2)
-        b.counter("c", host="h").inc(3)
-        a.gauge("g", host="h").set(1.0)
-        b.gauge("g", host="h").set(9.0)
-        a.merge(b)
-        assert a.counter("c", host="h").value == 5.0
-        assert a.gauge("g", host="h").value == 9.0
-
     def test_prometheus_text_shape(self):
         registry = MetricsRegistry()
         registry.counter("boots_total", help="Boots", host="h0").inc()

@@ -6,7 +6,8 @@ from repro.admission import AdmissionConfig, AdmissionController
 from repro.core import HotC, HotCConfig, make_cluster_platform
 from repro.faas import FaasPlatform
 from repro.faults import RuntimeUnavailableError
-from repro.recovery import RecoveryConfig, RecoveryManager, RepairKind
+from repro.recovery import RecoveryManager, RepairKind
+from repro.recovery.manager import CHECKPOINT_EVERY_TICKS, KEEP_CHECKPOINTS
 from repro.obs import Observatory
 
 
@@ -157,16 +158,19 @@ class TestRecover:
 
 
 class TestTickCadence:
-    def test_audit_every_tick_checkpoint_on_cadence(self, registry, fn_python):
+    def test_audits_each_tick_checkpoints_on_cadence(self, registry, fn_python):
         platform = make_platform(registry)
-        manager = RecoveryManager(
-            platform.provider, RecoveryConfig(checkpoint_every_ticks=3)
-        )
-        for tick in range(1, 7):
+        manager = RecoveryManager(platform.provider)
+        every = CHECKPOINT_EVERY_TICKS
+        ticks = every * (KEEP_CHECKPOINTS + 1)
+        for tick in range(1, ticks + 1):
             manager.on_control_tick(float(tick))
-        assert manager.stats.audits == 6
-        assert manager.stats.checkpoints_taken == 2
-        assert manager.store.versions() == (1, 2)
+            assert manager.stats.checkpoints_taken == tick // every
+        assert manager.stats.audits == ticks
+        # Only the newest KEEP_CHECKPOINTS versions are retained.
+        assert manager.store.versions() == tuple(
+            range(2, KEEP_CHECKPOINTS + 2)
+        )
 
     def test_same_instant_ticks_collapse(self, registry, fn_python):
         platform = make_platform(registry)
@@ -185,14 +189,13 @@ class TestTickCadence:
 
     def test_control_loop_drives_the_manager(self, registry, fn_python):
         platform = make_platform(registry)
-        manager = RecoveryManager(
-            platform.provider, RecoveryConfig(checkpoint_every_ticks=2)
-        )
+        manager = RecoveryManager(platform.provider)
         platform.deploy(fn_python)
         platform.provider.start_control_loop()
-        platform.run(until=5_500.0)
+        interval = platform.provider.config.control_interval_ms
+        platform.run(until=(2 * CHECKPOINT_EVERY_TICKS + 0.5) * interval)
         platform.provider.stop_control_loop()
-        assert manager.stats.audits >= 4
+        assert manager.stats.audits >= 2 * CHECKPOINT_EVERY_TICKS
         assert manager.stats.checkpoints_taken >= 2
 
 

@@ -54,6 +54,9 @@ class TestCommands:
     def test_both_experiment_clis_print_same_bytes(self, capsys):
         assert main(["--seed", "7", "experiments", "fig11", "fig02"]) == 0
         top_level = capsys.readouterr().out
+        # --seed is accepted after the subcommand too.
+        assert main(["experiments", "--seed", "7", "fig11", "fig02"]) == 0
+        assert capsys.readouterr().out == top_level
         assert experiments_main(["--seed", "7", "fig11", "fig02"]) == 0
         assert capsys.readouterr().out == top_level
         figures = run_all(only=["fig11", "fig02"], seed=7)
